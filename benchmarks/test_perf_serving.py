@@ -1,5 +1,5 @@
 """Serving throughput: single-doc sequential vs batched multi-worker,
-and the threaded HTTP front end vs the asyncio gateway.
+and the HTTP gateway under concurrent connections.
 
 Characterises the ``repro.serve`` subsystem on one fitted pipeline:
 
@@ -9,19 +9,18 @@ Characterises the ``repro.serve`` subsystem on one fitted pipeline:
   :class:`~repro.serve.server.InferenceService` (micro-batching +
   encoded-sequence cache + per-category worker fan-out) at
   ``n_workers`` of 1 and 4;
-* **front ends** -- 64 concurrent connection-per-request HTTP clients
-  against the PR 1 ``ThreadingHTTPServer`` and against the asyncio
-  :class:`~repro.serve.gateway.GatewayServer`, identical service
-  underneath; request p50/p99 and requests/sec per tier are written to
-  ``BENCH_serving.json`` at the repo root.
+* **gateway** -- 64 concurrent connection-per-request HTTP clients
+  against the asyncio :class:`~repro.serve.gateway.GatewayServer`;
+  request p50/p99 and requests/sec are written to ``BENCH_serving.json``
+  at the repo root.
 
 Prints the paper-style table and emits one ``SERVING_BENCH_JSON`` line
 (docs/sec per mode) for the bench trajectory.  Two acceptance bars are
 asserted at the end: batched multi-worker throughput at least twice the
-single-doc sequential baseline, and async-gateway throughput at least
-twice the threaded front end at concurrency 64.  ``REPRO_BENCH_ASSERT=0``
+single-doc sequential baseline, and the gateway at concurrency 64 at or
+above its absolute floors (:data:`GATEWAY_SLO`).  ``REPRO_BENCH_ASSERT=0``
 disables both (noisy shared CI runners; the artifact still records the
-measured ratios).
+measurements).
 """
 
 from __future__ import annotations
@@ -38,22 +37,29 @@ import pytest
 
 from repro import GpConfig, ProSysConfig, ProSysPipeline
 from repro.serve import (
+    GatewayServer,
     InferenceService,
     ModelRegistry,
-    create_gateway,
-    create_server,
+    document_from_payload,
 )
 
 SERVING_CATEGORIES = ("earn", "grain", "trade")
 WORKER_COUNTS = (1, 4)
 MAX_DOCS = 64
 
-#: Front-end comparison shape: this many clients, one request each at a
-#: time, fresh connection per request (the load-balancer-facing pattern).
+#: Gateway load shape: this many clients, one request each at a time,
+#: fresh connection per request (the load-balancer-facing pattern).
 GATEWAY_CONCURRENCY = 64
 GATEWAY_REQUESTS = 384
+REQUEST_DOCUMENT = {"text": "wheat corn grain export tonnes shipment"}
 
-#: Where the front-end comparison is recorded (committed artifact).
+#: Gateway floors at that shape.  The request-rate floor is over twice
+#: the median of three runs of the former thread-per-connection front end
+#: on the reference machine (184 req/s); the gateway measured 700-1300
+#: req/s at p99 62-104 ms there.
+GATEWAY_SLO = {"min_requests_per_second": 400.0, "max_p99_ms": 250.0}
+
+#: Where the gateway measurement is recorded (committed artifact).
 BENCH_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
 
 
@@ -176,7 +182,7 @@ def test_perf_serving_throughput(serving_pipeline, serving_docs, corpus, benchma
 
 
 # ----------------------------------------------------------------------
-# front ends: threaded HTTP server vs the asyncio gateway
+# the HTTP gateway under concurrent connections
 # ----------------------------------------------------------------------
 def _percentile_ms(sorted_latencies, fraction):
     index = min(
@@ -189,17 +195,15 @@ def _percentile_ms(sorted_latencies, fraction):
 def _drive_front_end(port, n_requests, concurrency):
     """``n_requests`` POST /classify calls from ``concurrency`` clients,
     one fresh connection per request; returns (wall, sorted latencies)."""
-    body = json.dumps(
-        {"documents": [{"text": "wheat corn grain export tonnes shipment"}]}
-    ).encode()
+    body = json.dumps({"documents": [REQUEST_DOCUMENT]}).encode()
     latencies = []
     retries = [0]
     lock = threading.Lock()
 
     def one_request(_index):
-        # Refused/reset connections (the threaded server's listen backlog
-        # overflows under burst) are retried, and the retry time stays on
-        # the clock -- the stall is that front end's cost, not noise.
+        # Refused/reset connections (a listen backlog overflowing under
+        # burst) are retried, and the retry time stays on the clock --
+        # the stall is the front end's cost, not noise.
         started = time.perf_counter()
         for _attempt in range(200):
             connection = http.client.HTTPConnection(
@@ -242,84 +246,53 @@ def _front_end_stats(wall, latencies, n_requests, retries):
     }
 
 
-def test_perf_async_gateway_vs_threaded(serving_pipeline, corpus, benchmark):
-    """The tentpole SLO: at {GATEWAY_CONCURRENCY} concurrent clients the
-    asyncio gateway must carry at least twice the threaded front end's
-    request rate (thread-per-connection setup cost is the bottleneck the
-    gateway removes; the service underneath is identical and warm)."""
+def test_perf_gateway_floors(serving_pipeline, corpus, benchmark):
+    """Under GATEWAY_CONCURRENCY connection-per-request clients the
+    gateway must hold its request-rate floor and its p99 ceiling (the
+    service underneath is warm)."""
 
     def run():
-        results = {}
-        warm = {"documents": [
-            {"text": "wheat corn grain export tonnes shipment"}
-        ]}
-
-        service = _service(corpus, serving_pipeline, n_workers=0)
-        server = create_server(service, "127.0.0.1", 0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            service.classify_payloads(warm["documents"])  # warm encode cache
-            wall, latencies, retries = _drive_front_end(
-                server.server_address[1], GATEWAY_REQUESTS,
-                GATEWAY_CONCURRENCY,
-            )
-            results["threaded"] = _front_end_stats(
-                wall, latencies, GATEWAY_REQUESTS, retries
-            )
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.close()
-
         service = _service(corpus, serving_pipeline, n_workers=0)
         try:
-            with create_gateway(service) as gateway:
-                service.classify_payloads(warm["documents"])
+            with GatewayServer(service) as gateway:
+                # warm the encode cache
+                service.classify([document_from_payload(REQUEST_DOCUMENT)])
                 wall, latencies, retries = _drive_front_end(
                     gateway.port, GATEWAY_REQUESTS, GATEWAY_CONCURRENCY
                 )
-                results["async_gateway"] = _front_end_stats(
-                    wall, latencies, GATEWAY_REQUESTS, retries
-                )
         finally:
             service.close()
-        return results
+        return _front_end_stats(wall, latencies, GATEWAY_REQUESTS, retries)
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    threaded = results["threaded"]
-    async_gateway = results["async_gateway"]
-    speedup = (
-        async_gateway["requests_per_second"]
-        / threaded["requests_per_second"]
-    )
+    stats = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    print(f"\nFront ends at concurrency {GATEWAY_CONCURRENCY} "
+    print(f"\nGateway at concurrency {GATEWAY_CONCURRENCY} "
           f"({GATEWAY_REQUESTS} requests, connection per request)")
-    print(f"{'front end':16s}{'req/sec':>10s}{'p50 ms':>10s}{'p99 ms':>10s}")
-    print("-" * 46)
-    for name, stats in results.items():
-        print(f"{name:16s}{stats['requests_per_second']:>10.1f}"
-              f"{stats['p50_ms']:>10.2f}{stats['p99_ms']:>10.2f}")
-    print(f"async/threaded speedup: {speedup:.2f}x")
+    print(f"{'req/sec':>10s}{'p50 ms':>10s}{'p99 ms':>10s}")
+    print("-" * 30)
+    print(f"{stats['requests_per_second']:>10.1f}"
+          f"{stats['p50_ms']:>10.2f}{stats['p99_ms']:>10.2f}")
 
     payload = {
-        "benchmark": "serving_front_ends",
+        "benchmark": "serving_gateway",
         "concurrency": GATEWAY_CONCURRENCY,
         "n_requests": GATEWAY_REQUESTS,
         "categories": list(SERVING_CATEGORIES),
-        "threaded": threaded,
-        "async_gateway": async_gateway,
-        "async_speedup": round(speedup, 2),
-        "slo": {"min_async_speedup": 2.0},
+        "gateway": stats,
+        "slo": GATEWAY_SLO,
     }
     BENCH_RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print("SERVING_BENCH_JSON " + json.dumps(payload))
 
     if os.environ.get("REPRO_BENCH_ASSERT", "1") != "0":
-        assert speedup >= 2.0, (
-            f"async gateway at {async_gateway['requests_per_second']:.1f} "
-            f"req/s is below twice the threaded front end's "
-            f"{threaded['requests_per_second']:.1f} req/s "
+        assert (stats["requests_per_second"]
+                >= GATEWAY_SLO["min_requests_per_second"]), (
+            f"gateway at {stats['requests_per_second']:.1f} req/s is below "
+            f"the {GATEWAY_SLO['min_requests_per_second']:g} req/s floor "
+            f"at concurrency {GATEWAY_CONCURRENCY}"
+        )
+        assert stats["p99_ms"] <= GATEWAY_SLO["max_p99_ms"], (
+            f"gateway p99 {stats['p99_ms']:.1f} ms exceeds the "
+            f"{GATEWAY_SLO['max_p99_ms']:g} ms ceiling "
             f"at concurrency {GATEWAY_CONCURRENCY}"
         )

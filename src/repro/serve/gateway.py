@@ -1,27 +1,25 @@
-"""Asyncio serving gateway: non-blocking HTTP in front of the batcher.
+"""Asyncio serving gateway: the HTTP front end of the inference service.
 
-The PR 1 front end is a ``ThreadingHTTPServer`` -- one OS thread per
-connection.  That shape is fine at tens of connections and fatal at tens
-of thousands: each idle keep-alive connection pins a stack, and the
-thread scheduler becomes the bottleneck long before the classifier does.
-This gateway replaces it with a single-threaded ``asyncio`` front end
-(stdlib ``asyncio.start_server``, no new dependencies):
+One event loop owns every socket (stdlib ``asyncio.start_server``, no
+new dependencies), so an idle keep-alive connection costs a coroutine
+rather than an OS thread and its stack:
 
-* one event loop owns every socket; parsing and response writes are
-  non-blocking, so idle connections cost a coroutine, not a thread;
-* requests pass :class:`~repro.serve.admission.AdmissionController`
-  *before* any real work -- shed requests (429 rate-limited / 503
-  saturated, both with ``Retry-After``) never reach the batcher, which
-  is what keeps memory bounded under overload;
-* admitted classify requests are submitted to the existing
+* parsing and response writes are non-blocking;
+* requests on admitted routes pass
+  :class:`~repro.serve.admission.AdmissionController` *before* any real
+  work -- shed requests (429 rate-limited / 503 saturated, both with
+  ``Retry-After``) never reach the batcher, which is what keeps memory
+  bounded under overload;
+* admitted classify requests are submitted to the
   :class:`~repro.serve.batcher.MicroBatcher` and awaited with
   ``asyncio.wrap_future`` -- the event loop keeps accepting sockets
   while worker processes evaluate the batch;
 * every route gets a latency histogram (``gateway_<route>_seconds``,
   p50/p99 in ``/metrics``).
 
-The gateway serves the same routes as the threaded server plus the
-rollout surface::
+Routing is the :data:`ROUTES` table (path -> route name, admission flag,
+method -> handler); failures map to statuses through the ordered
+:data:`ERRORS` table::
 
     GET    /healthz   liveness (503 + status=degraded drains the node)
     GET    /metrics   text exposition (gateway + service + engine)
@@ -34,9 +32,10 @@ rollout surface::
     POST   /rollout   start a shadow/canary rollout
     DELETE /rollout   abort the live rollout
 
-:class:`GatewayServer` wraps the loop in a daemon thread so synchronous
-callers (CLI, tests, benchmarks) get the same start/close lifecycle as
-``create_server``.
+An unknown path answers 404; a known path with an unlisted method
+answers 405.  :class:`GatewayServer` wraps the loop in a daemon thread
+so synchronous callers (CLI, tests, benchmarks) get a plain
+``start()`` / ``close()`` lifecycle.
 """
 
 from __future__ import annotations
@@ -46,18 +45,13 @@ import json
 import math
 import threading
 import time
-from typing import Dict, Optional, Tuple
+from typing import Awaitable, Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 from repro.errors import PersistenceError
 from repro.serve.admission import AdmissionController, Decision
 from repro.serve.batcher import BatcherClosed, BatcherSaturated
 from repro.serve.server import InferenceService
 from repro.serve.workers import PoolClosed, WorkerCrash
-
-#: Routes that carry real work and therefore pass admission control.
-#: Control-plane routes (health, metrics, reload, rollout) stay cheap and
-#: must answer precisely when the node is overloaded.
-ADMITTED_ROUTES = {"classify": "classify", "track": "track"}
 
 #: Largest accepted request body; beyond it the request is refused with
 #: 413 before the body is read, bounding per-connection memory.
@@ -103,6 +97,156 @@ class _Request:
 
 class _BadRequest(ValueError):
     """Malformed HTTP framing; answered 400 and the connection closed."""
+
+
+# ----------------------------------------------------------------------
+# route handlers: (service, request) -> (status, payload)
+# ----------------------------------------------------------------------
+#: A response body: a dict is sent as JSON, a str as plain text.
+Payload = Union[dict, str]
+Handler = Callable[[InferenceService, _Request], Awaitable[Tuple[int, Payload]]]
+
+
+async def _in_executor(fn, *args):
+    """Run blocking service work off the event loop."""
+    return await asyncio.get_running_loop().run_in_executor(
+        None, lambda: fn(*args)
+    )
+
+
+def _live_rollout(report: Optional[dict]) -> Tuple[int, dict]:
+    if report is None:
+        raise KeyError("no rollout is live")
+    return 200, report
+
+
+async def _classify(service, request):
+    payload = request.json()
+    documents = payload.get("documents")
+    if not isinstance(documents, list) or not documents:
+        raise ValueError("'documents' must be a non-empty list")
+    futures = service.submit_payloads(documents, model=payload.get("model"))
+    results = await asyncio.gather(
+        *(asyncio.wrap_future(future) for future in futures)
+    )
+    return 200, {"results": list(results)}
+
+
+async def _track(service, request):
+    payload = request.json()
+    text = payload.get("text")
+    category = payload.get("category")
+    if not text or not category:
+        raise ValueError("'text' and 'category' are required")
+    return 200, await _in_executor(
+        service.track, text, category, payload.get("model")
+    )
+
+
+async def _healthz(service, request):
+    health = service.health()
+    return (200 if health.get("status") == "ok" else 503), health
+
+
+async def _metrics(service, request):
+    return 200, await _in_executor(service.metrics_text)
+
+
+async def _models(service, request):
+    return 200, {"models": service.registry.describe()}
+
+
+async def _drift(service, request):
+    return 200, service.drift_report()
+
+
+async def _reload(service, request):
+    try:
+        payload = request.json()
+    except ValueError:
+        payload = {}
+    return 200, await _in_executor(service.reload, payload.get("model"))
+
+
+async def _rollout_report(service, request):
+    return _live_rollout(service.rollout_report())
+
+
+async def _rollout_start(service, request):
+    payload = request.json()
+    candidate = payload.get("candidate")
+    if not candidate:
+        raise ValueError("'candidate' (a registered model) is required")
+    return 200, await _in_executor(
+        service.start_rollout,
+        candidate,
+        payload.get("incumbent"),
+        payload.get("config") or {},
+    )
+
+
+async def _rollout_abort(service, request):
+    return _live_rollout(service.abort_rollout())
+
+
+class _Route(NamedTuple):
+    name: str  # metric label: gateway_<name>_seconds
+    methods: Dict[str, Handler]
+    admitted: bool = False
+
+
+#: Every path the gateway serves.  Admitted routes carry real work and
+#: therefore pass admission control (under the route's name); the
+#: control plane (health, metrics, reload, rollout) stays cheap and must
+#: answer precisely when the node is overloaded.
+ROUTES: Dict[str, _Route] = {
+    "/healthz": _Route("healthz", {"GET": _healthz}),
+    "/metrics": _Route("metrics", {"GET": _metrics}),
+    "/models": _Route("models", {"GET": _models}),
+    "/drift": _Route("drift", {"GET": _drift}),
+    "/rollout": _Route("rollout", {
+        "GET": _rollout_report,
+        "POST": _rollout_start,
+        "DELETE": _rollout_abort,
+    }),
+    "/classify": _Route("classify", {"POST": _classify}, admitted=True),
+    "/track": _Route("track", {"POST": _track}, admitted=True),
+    "/reload": _Route("reload", {"POST": _reload}),
+}
+
+
+def _typed(error: Exception) -> str:
+    return f"{type(error).__name__}: {error}"
+
+
+def _key(error: KeyError) -> str:
+    return str(error.args[0] if error.args else error)  # str() adds quotes
+
+
+#: Handler exception -> ``(status, Retry-After seconds, message)``; the
+#: first matching row wins.  ``ValueError`` covers malformed JSON.
+#: ``BatcherSaturated`` is the batcher's own bound tripping underneath
+#: admission: same contract as an admission shed, retryable 503.  The
+#: other 503s are backend trouble, not caller error: the store is
+#: damaged, the service is shutting down, or a worker died mid-batch.
+ERRORS: Tuple[tuple, ...] = (
+    (ValueError, 400, 0.0, str),
+    (KeyError, 404, 0.0, _key),
+    (BatcherSaturated, 503, 0.5, str),
+    ((PersistenceError, BatcherClosed, PoolClosed, WorkerCrash), 503, 0.0,
+     _typed),
+    (Exception, 500, 0.0, _typed),
+)
+
+
+def _error_response(error: Exception) -> Tuple[int, dict, float]:
+    _, status, retry_after, message = next(
+        row for row in ERRORS if isinstance(error, row[0])
+    )
+    payload = {"error": message(error)}
+    if retry_after:
+        payload["retry_after"] = retry_after
+    return status, payload, retry_after
 
 
 class GatewayServer:
@@ -280,9 +424,8 @@ class GatewayServer:
                         return
                 elif kind == "bad":
                     self._write_response(
-                        writer, 400,
-                        self._json_body({"error": str(payload)}),
-                        "application/json", keep_alive=False,
+                        writer, 400, {"error": str(payload)},
+                        keep_alive=False,
                     )
                     await writer.drain()
                     return
@@ -290,12 +433,11 @@ class GatewayServer:
                     self._errors_total.inc()
                     self._pipeline_shed.inc()
                     self._write_response(
-                        writer, 503,
-                        self._json_body({
+                        writer, 503, {
                             "error": "pipelining depth exceeded",
                             "max_pipeline": self.max_pipeline,
-                        }),
-                        "application/json", keep_alive=False,
+                        },
+                        keep_alive=False,
                     )
                     await writer.drain()
                     return
@@ -398,225 +540,66 @@ class GatewayServer:
     async def _dispatch(
         self, request: _Request, writer: asyncio.StreamWriter
     ) -> None:
-        route = self._route_name(request)
+        route = ROUTES.get(request.path)
+        name = route.name if route is not None else "unknown"
         started = time.perf_counter()
-        decision: Optional[Decision] = None
-        admitted_route = ADMITTED_ROUTES.get(route)
-        if admitted_route is not None:
-            decision = self.admission.admit(admitted_route)
-            if not decision:
-                self._errors_total.inc()
-                self._write_response(
-                    writer, decision.status,
-                    self._json_body({
-                        "error": "rate limited" if decision.status == 429
-                        else "saturated",
-                        "retry_after": decision.retry_after,
-                    }),
-                    "application/json",
-                    keep_alive=request.keep_alive,
-                    retry_after=decision.retry_after,
-                )
-                self._observe_route(route, time.perf_counter() - started)
-                return
-        try:
-            status, body, content_type, retry_after = await self._handle(
-                request, route
-            )
-        except (ValueError, json.JSONDecodeError) as error:
-            status, body, content_type, retry_after = (
-                400, self._json_body({"error": str(error)}),
-                "application/json", 0.0,
-            )
-        except KeyError as error:
-            status, body, content_type, retry_after = (
-                404,
-                self._json_body(
-                    {"error": str(error.args[0] if error.args else error)}
-                ),
-                "application/json", 0.0,
-            )
-        except BatcherSaturated as error:
-            # The batcher's own bound tripped underneath admission --
-            # same contract as an admission shed: retryable, 503.
-            status, body, content_type, retry_after = (
-                503,
-                self._json_body(
-                    {"error": str(error), "retry_after": 0.5}
-                ),
-                "application/json", 0.5,
-            )
-        except (PersistenceError, BatcherClosed, PoolClosed,
-                WorkerCrash) as error:
-            status, body, content_type, retry_after = (
-                503,
-                self._json_body(
-                    {"error": f"{type(error).__name__}: {error}"}
-                ),
-                "application/json", 0.0,
-            )
-        except Exception as error:  # noqa: BLE001 - boundary
-            status, body, content_type, retry_after = (
-                500,
-                self._json_body(
-                    {"error": f"{type(error).__name__}: {error}"}
-                ),
-                "application/json", 0.0,
-            )
-        finally:
-            if decision is not None:
-                decision.release()
+        status, payload, retry_after = await self._respond(request, route)
         if status >= 400:
             self._errors_total.inc()
         self._write_response(
-            writer, status, body, content_type,
+            writer, status, payload,
             keep_alive=request.keep_alive, retry_after=retry_after,
         )
-        self._observe_route(route, time.perf_counter() - started)
+        self._observe_route(name, time.perf_counter() - started)
 
-    def _route_name(self, request: _Request) -> str:
-        names = {
-            "/healthz": "healthz", "/metrics": "metrics",
-            "/models": "models", "/drift": "drift",
-            "/rollout": "rollout", "/classify": "classify",
-            "/track": "track", "/reload": "reload",
-        }
-        return names.get(request.path, "unknown")
-
-    async def _handle(
-        self, request: _Request, route: str
-    ) -> Tuple[int, bytes, str, float]:
-        """Returns ``(status, body, content_type, retry_after)``."""
-        service = self.service
-        method = request.method
-        if route == "unknown":
-            return (
-                404,
-                self._json_body({"error": f"unknown path {request.path!r}"}),
-                "application/json", 0.0,
-            )
-        if route == "classify" and method == "POST":
-            payload = request.json()
-            documents = payload.get("documents")
-            if not isinstance(documents, list) or not documents:
-                raise ValueError("'documents' must be a non-empty list")
-            futures = service.submit_payloads(
-                documents, model=payload.get("model")
-            )
-            results = await asyncio.gather(
-                *(asyncio.wrap_future(future) for future in futures)
-            )
-            return (
-                200, self._json_body({"results": list(results)}),
-                "application/json", 0.0,
-            )
-        if route == "healthz" and method == "GET":
-            health = service.health()
-            status = 200 if health.get("status") == "ok" else 503
-            return status, self._json_body(health), "application/json", 0.0
-        if route == "metrics" and method == "GET":
-            text = await self._in_executor(service.metrics_text)
-            return 200, text.encode("utf-8"), "text/plain; charset=utf-8", 0.0
-        if route == "models" and method == "GET":
-            return (
-                200,
-                self._json_body({"models": service.registry.describe()}),
-                "application/json", 0.0,
-            )
-        if route == "drift" and method == "GET":
-            return (
-                200, self._json_body(service.drift_report()),
-                "application/json", 0.0,
-            )
-        if route == "rollout":
-            return await self._handle_rollout(request, method)
-        if route == "track" and method == "POST":
-            payload = request.json()
-            text = payload.get("text")
-            category = payload.get("category")
-            if not text or not category:
-                raise ValueError("'text' and 'category' are required")
-            result = await self._in_executor(
-                service.track, text, category, payload.get("model")
-            )
-            return 200, self._json_body(result), "application/json", 0.0
-        if route == "reload" and method == "POST":
-            try:
-                payload = request.json()
-            except ValueError:
-                payload = {}
-            result = await self._in_executor(
-                service.reload, payload.get("model")
-            )
-            return 200, self._json_body(result), "application/json", 0.0
-        return (
-            405,
-            self._json_body(
-                {"error": f"{method} not supported on {request.path!r}"}
-            ),
-            "application/json", 0.0,
-        )
-
-    async def _handle_rollout(
-        self, request: _Request, method: str
-    ) -> Tuple[int, bytes, str, float]:
-        service = self.service
-        if method == "GET":
-            report = service.rollout_report()
-            if report is None:
-                return (
-                    404, self._json_body({"error": "no rollout is live"}),
-                    "application/json", 0.0,
-                )
-            return 200, self._json_body(report), "application/json", 0.0
-        if method == "POST":
-            payload = request.json()
-            candidate = payload.get("candidate")
-            if not candidate:
-                raise ValueError("'candidate' (a registered model) is required")
-            report = await self._in_executor(
-                service.start_rollout,
-                candidate,
-                payload.get("incumbent"),
-                payload.get("config") or {},
-            )
-            return 200, self._json_body(report), "application/json", 0.0
-        if method == "DELETE":
-            report = service.abort_rollout()
-            if report is None:
-                return (
-                    404, self._json_body({"error": "no rollout is live"}),
-                    "application/json", 0.0,
-                )
-            return 200, self._json_body(report), "application/json", 0.0
-        return (
-            405,
-            self._json_body({"error": f"{method} not supported on /rollout"}),
-            "application/json", 0.0,
-        )
-
-    async def _in_executor(self, fn, *args):
-        """Run blocking service work off the event loop."""
-        return await asyncio.get_running_loop().run_in_executor(
-            None, lambda: fn(*args)
-        )
+    async def _respond(
+        self, request: _Request, route: Optional[_Route]
+    ) -> Tuple[int, Payload, float]:
+        """Returns ``(status, payload, retry_after)``."""
+        if route is None:
+            return 404, {"error": f"unknown path {request.path!r}"}, 0.0
+        decision: Optional[Decision] = None
+        if route.admitted:
+            decision = self.admission.admit(route.name)
+            if not decision:
+                return decision.status, {
+                    "error": "rate limited" if decision.status == 429
+                    else "saturated",
+                    "retry_after": decision.retry_after,
+                }, decision.retry_after
+        try:
+            handler = route.methods.get(request.method)
+            if handler is None:
+                return 405, {
+                    "error": f"{request.method} not supported on "
+                             f"{request.path!r}",
+                }, 0.0
+            status, payload = await handler(self.service, request)
+            return status, payload, 0.0
+        except Exception as error:  # noqa: BLE001 - boundary; see ERRORS
+            return _error_response(error)
+        finally:
+            if decision is not None:
+                decision.release()
 
     # ------------------------------------------------------------------
     # response writing and accounting
     # ------------------------------------------------------------------
-    @staticmethod
-    def _json_body(payload: dict) -> bytes:
-        return json.dumps(payload).encode("utf-8")
-
     def _write_response(
         self,
         writer: asyncio.StreamWriter,
         status: int,
-        body: bytes,
-        content_type: str,
+        payload: Payload,
         keep_alive: bool,
         retry_after: float = 0.0,
     ) -> None:
+        """Write one response: a dict goes out as JSON, a str as text."""
+        if isinstance(payload, str):
+            body = payload.encode("utf-8")
+            content_type = "text/plain; charset=utf-8"
+        else:
+            body = json.dumps(payload).encode("utf-8")
+            content_type = "application/json"
         reason = _STATUS_REASONS.get(status, "Unknown")
         headers = [
             f"HTTP/1.1 {status} {reason}",
@@ -639,13 +622,3 @@ class GatewayServer:
             self._route_seconds[route] = histogram
         histogram.observe(seconds)
 
-
-def create_gateway(
-    service: InferenceService,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    admission: Optional[AdmissionController] = None,
-) -> GatewayServer:
-    """A (not yet started) gateway bound to ``service``; mirrors
-    :func:`repro.serve.server.create_server` for the asyncio tier."""
-    return GatewayServer(service, host=host, port=port, admission=admission)

@@ -33,6 +33,7 @@ table is pickled to each worker once at startup.
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
 import os
 import queue as queue_module
@@ -50,10 +51,11 @@ from repro.classify.binary import RlgpBinaryClassifier
 from repro.gp.engine import shared_metrics
 from repro.serve.metrics import MetricsRegistry
 
-try:  # pragma: no cover - present on every supported platform
-    from multiprocessing import resource_tracker, shared_memory
-except ImportError:  # pragma: no cover
-    resource_tracker = None
+try:  # pragma: no cover - present on every POSIX platform
+    import _posixshmem
+    from multiprocessing import shared_memory
+except ImportError:  # pragma: no cover - the pool pickles instead
+    _posixshmem = None
     shared_memory = None
 
 #: Reserved category that makes a worker die abruptly (``os._exit``).
@@ -109,20 +111,23 @@ def _engine_counter_values() -> Dict[str, float]:
     }
 
 
-def _untrack_shm(segment) -> None:
-    """Detach a *attached* (not created) segment from the resource tracker.
+def _attach_shm(name: str) -> mmap.mmap:
+    """Map a segment the parent created, without registering it anywhere.
 
-    ``SharedMemory.__init__`` registers the segment with the tracker even
-    on attach (observed on this interpreter), so a worker exiting would
-    let the tracker unlink a segment the parent still owns.  The parent
-    created it; the parent unlinks it.
+    ``SharedMemory(name=...)`` registers even an *attached* segment with
+    the attaching process's resource tracker.  A worker forked after the
+    parent started its tracker shares it, so unregistering there deletes
+    the parent's entry and the parent's own unlink then raises
+    ``KeyError`` inside the tracker; a worker forked earlier gets a
+    tracker of its own, which reports the segment as leaked at exit.
+    The process that creates a segment is the only one that registers
+    and unregisters it, so workers map it directly.
     """
-    if resource_tracker is None:
-        return
+    fd = _posixshmem.shm_open("/" + name, os.O_RDWR)
     try:
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except (KeyError, ValueError, AttributeError):
-        pass  # tracker never knew it (platform variance); nothing to undo
+        return mmap.mmap(fd, os.fstat(fd).st_size)
+    finally:
+        os.close(fd)
 
 
 def _materialize(handoff: dict, store_root: Optional[str]):
@@ -153,11 +158,10 @@ def _materialize(handoff: dict, store_root: Optional[str]):
     segment = None
     if handoff["shm"] is not None:
         name, metas = handoff["shm"]
-        segment = shared_memory.SharedMemory(name=name)
-        _untrack_shm(segment)
+        segment = _attach_shm(name)
         for position, offset, shape in metas:
             sequences[position] = np.ndarray(
-                shape, dtype=np.float64, buffer=segment.buf, offset=offset
+                shape, dtype=np.float64, buffer=segment, offset=offset
             )
     for position, array in handoff["raw"]:
         sequences[position] = array
@@ -170,6 +174,9 @@ def _worker_main(worker_id, classifiers, task_queue, result_queue, store_root):
     # shutdown is the parent's job (sentinel / terminate), so workers
     # must not die mid-protocol with a KeyboardInterrupt traceback.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # terminate() must still kill a worker forked from a parent that
+    # routes SIGTERM into its own shutdown path.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     while True:
         message = task_queue.get()
         if message is None:

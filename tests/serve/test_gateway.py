@@ -6,7 +6,7 @@ import http.client
 import json
 import re
 import socket
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import pytest
 
@@ -16,9 +16,12 @@ from repro.serve import (
     InferenceService,
     ModelRegistry,
     RoutePolicy,
-    create_gateway,
 )
+from repro.errors import PersistenceError
+from repro.serve.batcher import BatcherClosed, BatcherSaturated
+from repro.serve.gateway import ROUTES
 from repro.serve.metrics import MetricsRegistry
+from repro.serve.workers import PoolClosed, WorkerCrash
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +43,7 @@ def service(registry):
 
 @pytest.fixture(scope="module")
 def gateway(service):
-    with create_gateway(service) as gateway:
+    with GatewayServer(service) as gateway:
         yield gateway
 
 
@@ -61,7 +64,7 @@ def _request(gateway, method, path, payload=None, timeout=60):
 
 
 # ----------------------------------------------------------------------
-# HTTP parity with the threaded server
+# HTTP round trips
 # ----------------------------------------------------------------------
 def test_classify_round_trip_matches_pipeline(gateway, service, serve_corpus):
     pipeline = service.registry.get().pipeline
@@ -138,6 +141,86 @@ def test_error_statuses(gateway):
         {"documents": [{"text": "x"}], "model": "nope"},
     )
     assert status == 404
+
+
+# ----------------------------------------------------------------------
+# the route table and the error table
+# ----------------------------------------------------------------------
+class _StubService:
+    """Stands in for InferenceService: every call answers ``{"status":
+    "ok"}``, or raises ``error`` when one is set."""
+
+    def __init__(self, error=None):
+        self.metrics = MetricsRegistry()
+        self.admission = None
+        self.registry = self
+        self.error = error
+
+    def _answer(self, *args, **kwargs):
+        if self.error is not None:
+            raise self.error
+        return {"status": "ok"}
+
+    health = metrics_text = describe = drift_report = track = reload = \
+        rollout_report = start_rollout = abort_rollout = _answer
+
+    def submit_payloads(self, documents, model=None):
+        future = Future()
+        future.set_result(self._answer())
+        return [future]
+
+
+#: One body that satisfies every POST route's required fields.
+_ANY_BODY = {"documents": [{"text": "wheat"}], "text": "wheat",
+             "category": "grain", "candidate": "v2"}
+
+
+@pytest.mark.parametrize("path,method", [
+    (path, method) for path, route in ROUTES.items() for method in route.methods
+])
+def test_every_listed_route_answers(path, method):
+    stub = _StubService()
+    with GatewayServer(stub) as gateway:
+        status, body, _ = _request(
+            gateway, method, path, _ANY_BODY if method == "POST" else None
+        )
+    assert status not in (404, 405), (status, body)
+    name = ROUTES[path].name
+    assert stub.metrics.snapshot()[f"gateway_{name}_seconds"]["count"] == 1
+
+
+@pytest.mark.parametrize("path", sorted(ROUTES))
+def test_unlisted_method_is_405_under_the_route_name(path):
+    stub = _StubService()
+    with GatewayServer(stub) as gateway:
+        status, _, _ = _request(gateway, "PUT", path, _ANY_BODY)
+        assert status == 405
+        status, _, _ = _request(gateway, "GET", path + "/nope")
+        assert status == 404
+    snapshot = stub.metrics.snapshot()
+    assert snapshot[f"gateway_{ROUTES[path].name}_seconds"]["count"] == 1
+    assert snapshot["gateway_unknown_seconds"]["count"] == 1
+    assert snapshot["gateway_errors_total"] == 2
+
+
+@pytest.mark.parametrize("error,status", [
+    (ValueError("bad field"), 400),
+    (json.JSONDecodeError("bad json", "{", 0), 400),
+    (KeyError("unknown model 'x'"), 404),
+    (BatcherSaturated("queue full"), 503),
+    (PersistenceError("corrupt shard"), 503),
+    (BatcherClosed("closing"), 503),
+    (PoolClosed("pool shut down"), 503),
+    (WorkerCrash("worker died"), 503),
+    (RuntimeError("boom"), 500),
+], ids=lambda value: type(value).__name__ if isinstance(value, Exception)
+   else str(value))
+def test_error_table_maps_each_exception(error, status):
+    with GatewayServer(_StubService(error)) as gateway:
+        got, body, headers = _request(gateway, "GET", "/drift")
+    assert got == status
+    assert json.loads(body)["error"]
+    assert ("Retry-After" in headers) == isinstance(error, BatcherSaturated)
 
 
 def test_malformed_framing_is_400_and_closed(gateway):

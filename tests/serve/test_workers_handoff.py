@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,8 @@ from repro.data import DatasetStore
 from repro.serve import InferenceService, ModelRegistry, WorkerPool
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.workers import CRASH_CATEGORY, SequenceRef, WorkerCrash
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +49,49 @@ def test_fresh_sequences_travel_via_shared_memory(classifiers, sequences):
         assert snapshot["pool_pickled_sequences_total"] == 0
     finally:
         pool.shutdown()
+
+
+#: Runs in a fresh interpreter so the resource tracker it starts (and
+#: everything that tracker prints on exit) belongs to this check alone.
+_HANDOFF_SCRIPT = """
+import pickle, sys
+import numpy as np
+from repro.serve import WorkerPool
+from repro.serve.metrics import MetricsRegistry
+
+with open(sys.argv[1], "rb") as handle:
+    classifiers = pickle.load(handle)
+metrics = MetricsRegistry()
+sequences = [np.random.default_rng(7).random((5, 2))] * 3
+# The first pool forks before this process has a resource tracker, the
+# second after its parent started one (so its worker shares it).
+for _ in range(2):
+    pool = WorkerPool(classifiers, n_workers=1, metrics=metrics)
+    for category in classifiers:
+        pool.evaluate(category, sequences).result(timeout=30)
+    pool.shutdown()
+print(int(metrics.snapshot()["pool_shm_sequences_total"]))
+"""
+
+
+def test_shared_memory_handoff_leaves_the_resource_tracker_quiet(
+    classifiers, tmp_path
+):
+    """Each segment is registered and unregistered once, by the process
+    that created it: no tracker KeyError, no leaked-segment warning."""
+    pickled = tmp_path / "classifiers.pkl"
+    pickled.write_bytes(pickle.dumps(dict(classifiers)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get(
+        "PYTHONPATH", ""
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _HANDOFF_SCRIPT, str(pickled)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) == 2 * 3 * len(classifiers)
+    assert "resource_tracker" not in result.stderr, result.stderr
 
 
 def test_disabling_shared_memory_falls_back_to_pickling(
