@@ -1,14 +1,15 @@
-"""Serving throughput: single-doc sequential vs batched multi-worker,
-and the HTTP gateway under concurrent connections.
+"""Serving throughput: single-doc sequential vs batched, and the HTTP
+gateway under concurrent connections.
 
 Characterises the ``repro.serve`` subsystem on one fitted pipeline:
 
 * **single-doc sequential** -- the pre-serving deployment mode, one
   ``ProSysPipeline.predict_topics`` call per document;
-* **batched** -- the same documents pushed through
-  :class:`~repro.serve.server.InferenceService` (micro-batching +
-  encoded-sequence cache + per-category worker fan-out) at
-  ``n_workers`` of 1 and 4;
+* **single-doc service** -- the same documents sent to
+  :class:`~repro.serve.server.InferenceService` one per request;
+* **batched** -- the whole document set submitted at once, coalesced by
+  the micro-batcher and evaluated inline per category, with a cold and
+  then a warm encoded-sequence cache;
 * **gateway** -- 64 concurrent connection-per-request HTTP clients
   against the asyncio :class:`~repro.serve.gateway.GatewayServer`;
   request p50/p99 and requests/sec are written to ``BENCH_serving.json``
@@ -16,8 +17,8 @@ Characterises the ``repro.serve`` subsystem on one fitted pipeline:
 
 Prints the paper-style table and emits one ``SERVING_BENCH_JSON`` line
 (docs/sec per mode) for the bench trajectory.  Two acceptance bars are
-asserted at the end: batched multi-worker throughput at least twice the
-single-doc sequential baseline, and the gateway at concurrency 64 at or
+asserted at the end: batched throughput at least twice the single-doc
+service baseline, and the gateway at concurrency 64 at or
 above its absolute floors (:data:`GATEWAY_SLO`).  ``REPRO_BENCH_ASSERT=0``
 disables both (noisy shared CI runners; the artifact still records the
 measurements).
@@ -44,7 +45,6 @@ from repro.serve import (
 )
 
 SERVING_CATEGORIES = ("earn", "grain", "trade")
-WORKER_COUNTS = (1, 4)
 MAX_DOCS = 64
 
 #: Gateway load shape: this many clients, one request each at a time,
@@ -86,12 +86,10 @@ def _docs_per_second(n_docs: int, elapsed: float) -> float:
     return n_docs / elapsed if elapsed > 0 else float("inf")
 
 
-def _service(corpus, pipeline, n_workers):
+def _service(corpus, pipeline):
     registry = ModelRegistry(corpus)
     registry.add_pipeline("bench", pipeline)
-    return InferenceService(
-        registry, n_workers=n_workers, max_batch_size=16, max_delay=0.005
-    )
+    return InferenceService(registry, max_batch_size=16, max_delay=0.005)
 
 
 def test_perf_serving_throughput(serving_pipeline, serving_docs, corpus, benchmark):
@@ -109,9 +107,9 @@ def test_perf_serving_throughput(serving_pipeline, serving_docs, corpus, benchma
 
         # Baseline: the service driven one document per request,
         # sequentially -- what naive (unbatched) serving costs.
-        service = _service(corpus, serving_pipeline, n_workers=1)
+        service = _service(corpus, serving_pipeline)
         try:
-            service.classify(serving_docs[:2])  # warm the pool
+            service.classify(serving_docs[:2])  # warm the engine
             single_docs = serving_docs[: max(8, len(serving_docs) // 4)]
             started = time.perf_counter()
             for doc in single_docs:
@@ -126,28 +124,24 @@ def test_perf_serving_throughput(serving_pipeline, serving_docs, corpus, benchma
         finally:
             service.close()
 
-        # Batched: the whole document set submitted at once, coalesced by
-        # the micro-batcher, categories fanned across the worker pool.
-        # A fresh service per worker count keeps the cache cold.
-        for n_workers in WORKER_COUNTS:
-            service = _service(corpus, serving_pipeline, n_workers)
-            try:
-                service.classify(serving_docs[:2])  # warm the pool
-                started = time.perf_counter()
-                service.classify(serving_docs)
-                results[f"batched_workers_{n_workers}"] = _docs_per_second(
-                    len(serving_docs), time.perf_counter() - started
-                )
-                # Same documents again: the encoded-sequence LRU is warm.
-                started = time.perf_counter()
-                service.classify(serving_docs)
-                results[f"batched_workers_{n_workers}_warm_cache"] = (
-                    _docs_per_second(
-                        len(serving_docs), time.perf_counter() - started
-                    )
-                )
-            finally:
-                service.close()
+        # Batched: the whole document set submitted at once and coalesced
+        # by the micro-batcher.  A fresh service keeps the cache cold.
+        service = _service(corpus, serving_pipeline)
+        try:
+            service.classify(serving_docs[:2])  # warm the engine
+            started = time.perf_counter()
+            service.classify(serving_docs)
+            results["batched"] = _docs_per_second(
+                len(serving_docs), time.perf_counter() - started
+            )
+            # Same documents again: the encoded-sequence LRU is warm.
+            started = time.perf_counter()
+            service.classify(serving_docs)
+            results["batched_warm_cache"] = _docs_per_second(
+                len(serving_docs), time.perf_counter() - started
+            )
+        finally:
+            service.close()
         return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -252,7 +246,7 @@ def test_perf_gateway_floors(serving_pipeline, corpus, benchmark):
     service underneath is warm)."""
 
     def run():
-        service = _service(corpus, serving_pipeline, n_workers=0)
+        service = _service(corpus, serving_pipeline)
         try:
             with GatewayServer(service) as gateway:
                 # warm the encode cache

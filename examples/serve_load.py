@@ -9,7 +9,7 @@ figure and the service's own ``/metrics`` exposition.
 Usage::
 
     python examples/serve_load.py
-    python examples/serve_load.py --requests 200 --concurrency 16 --workers 4
+    python examples/serve_load.py --requests 200 --concurrency 16
     python examples/serve_load.py --model model/ --data data/
 """
 
@@ -59,13 +59,12 @@ def main() -> int:
     parser.add_argument("--requests", type=int, default=120)
     parser.add_argument("--docs-per-request", type=int, default=4)
     parser.add_argument("--concurrency", type=int, default=8)
-    parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args()
 
     corpus, model_dir = _prepare_model(args)
     registry = ModelRegistry(corpus)
     registry.register("default", model_dir)
-    service = InferenceService(registry, n_workers=args.workers)
+    service = InferenceService(registry)
     gateway = GatewayServer(service).start()
     port = gateway.port
     print(f"service up on http://127.0.0.1:{port}")

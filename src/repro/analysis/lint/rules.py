@@ -448,7 +448,7 @@ class SwallowedExceptionRule(Rule):
         return True
 
 
-_FORK_SITES = ("repro/runtime/parallel.py", "repro/serve/workers.py")
+_FORK_SITES = ("repro/runtime/parallel.py",)
 _BANNED_MP = {
     "multiprocessing.Process",
     "multiprocessing.Pool",
@@ -463,11 +463,11 @@ _VALID_START_METHODS = {"fork", "spawn"}
 
 
 class ForkDisciplineRule(Rule):
-    """REPRO-L005: process management only via the two blessed modules.
+    """REPRO-L005: process management only via the blessed module.
 
-    Worker processes are spawned exclusively by ``runtime.parallel`` and
-    ``serve.workers`` (which own the fork-safety reasoning: no threads
-    before fork, inherited read-only state, crash containment).  Direct
+    Worker processes are spawned exclusively by ``runtime.parallel``
+    (which owns the fork-safety reasoning: no threads before fork,
+    inherited read-only state, crash containment).  Direct
     ``multiprocessing.*`` construction elsewhere -- and
     ``set_start_method``, which mutates global state -- is banned, and
     every ``get_context`` call must pass a literal, audited start method.
@@ -489,8 +489,8 @@ class ForkDisciplineRule(Rule):
                 ))
             elif origin in _BANNED_MP and not blessed:
                 yield self._finding(module, node, (
-                    f"{origin}() outside runtime.parallel/serve.workers; "
-                    "route process management through those modules"
+                    f"{origin}() outside runtime.parallel; "
+                    "route process management through that module"
                 ))
             elif origin == "multiprocessing.get_context":
                 method = node.args[0] if node.args else None

@@ -197,8 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080,
                        help="TCP port (0 = pick an ephemeral port)")
-    serve.add_argument("--workers", type=int, default=2,
-                       help="evaluation worker processes (0 = inline)")
     serve.add_argument("--batch-size", type=int, default=16,
                        help="micro-batch size limit")
     serve.add_argument("--max-delay-ms", type=float, default=20.0,
@@ -662,7 +660,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     events = EventBus([ConsoleSink()])
     service = InferenceService(
         registry,
-        n_workers=args.workers,
         max_batch_size=args.batch_size,
         max_delay=args.max_delay_ms / 1000.0,
         cache_size=args.cache_size,
@@ -705,14 +702,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_pipeline=args.max_pipeline,
     ).start()
     rate_note = f", rate={args.rate:g}/s" if args.rate else ""
+    # "workers=0" stays in the banner: launch scripts parse the field,
+    # and it is accurate -- evaluation runs in this process.
     print(f"serving (asyncio) on http://{args.host}:{gateway.port}  "
-          f"(workers={args.workers}, batch={args.batch_size}, "
+          f"(workers=0, batch={args.batch_size}, "
           f"max_inflight={args.max_inflight}{rate_note})")
     print("endpoints: GET /healthz /metrics /models /rollout"
           + (" /drift" if args.drift_detect else "")
           + ", POST /classify /track /reload /rollout, DELETE /rollout")
     # SIGTERM (service managers, test harnesses) takes the Ctrl-C path,
-    # so the worker pool is drained instead of orphaned.
+    # so the batcher drains and spooled misses are flushed.
     signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         threading.Event().wait()

@@ -166,9 +166,8 @@ def open_sealed(
     """Open one sealed dataset by address, with no store construction.
 
     The pure read path of :meth:`DatasetStore.open`: no tmp sweep, no
-    counters, no events -- safe to call from worker processes that must
-    not disturb a live store directory (sweeping ``tmp/`` from a worker
-    would yank in-flight writers out from under the parent).
+    counters, no events -- safe to call beside a live store directory
+    (sweeping ``tmp/`` would yank in-flight writers out from under it).
 
     Raises:
         PersistenceError: unsealed/missing dataset, malformed index,
@@ -190,43 +189,6 @@ def open_sealed(
     metas = [ShardMeta.from_payload(entry, source) for entry in shards_payload]
     packed = [open_shard(directory, meta, verify=verify) for meta in metas]
     return StoredDataset(key, directory, payload, metas, packed)
-
-
-#: Process-local attach cache: (resolved root, key) -> StoredDataset.
-_ATTACH_CACHE: Dict[Tuple[str, str], StoredDataset] = {}  # guarded by _ATTACH_LOCK
-_ATTACH_LOCK = threading.Lock()
-
-
-def attach_dataset(
-    root: Union[str, Path], key: str, verify: bool = True,
-    refresh: bool = False,
-) -> StoredDataset:
-    """Attach to a sealed dataset by content address, memoized per process.
-
-    This is the zero-copy worker handoff: instead of pickling encoded
-    sequences over a pipe, the parent ships ``(store root, address,
-    row)`` and the worker memory-maps the very same shard files.  The
-    attach is cached, so a worker touching the same dataset across many
-    batches opens (and optionally checksums) it exactly once; the kernel
-    shares the mapped pages across every attached process.
-
-    ``refresh`` bypasses and replaces the cached attach -- used when a
-    row index outruns the cached view because the dataset was extended
-    (incremental ingest adopts existing shards in order, so row indices
-    are stable across extensions; only *new* rows need the re-attach).
-    """
-    cache_key = (str(Path(root).resolve()), key)
-    if not refresh:
-        with _ATTACH_LOCK:
-            stored = _ATTACH_CACHE.get(cache_key)
-        if stored is not None:
-            return stored
-    stored = open_sealed(root, key, verify=verify)
-    with _ATTACH_LOCK:
-        if refresh:
-            _ATTACH_CACHE[cache_key] = stored
-            return stored
-        return _ATTACH_CACHE.setdefault(cache_key, stored)
 
 
 def _read_index_payload(directory: Path) -> dict:

@@ -1,4 +1,4 @@
-"""Serving subsystem: batched, parallel, observable inference.
+"""Serving subsystem: batched, observable inference.
 
 Turns saved pipeline directories (``repro.persistence``) into a
 long-lived service behind one asyncio HTTP gateway with admission
@@ -9,7 +9,7 @@ control::
 
     registry = ModelRegistry(load_corpus("data/"))
     registry.register("default", "model/")
-    service = InferenceService(registry, n_workers=4)
+    service = InferenceService(registry)
     gateway = GatewayServer(service, "0.0.0.0", 8080).start()
 
 or from the command line::
@@ -18,14 +18,13 @@ or from the command line::
 
 Components: :mod:`~repro.serve.registry` (named models + hot reload),
 :mod:`~repro.serve.batcher` (deadline micro-batching),
-:mod:`~repro.serve.workers` (crash-supervised process pool, zero-copy
-store/shared-memory dataset handoff),
 :mod:`~repro.serve.cache` (encoded-sequence LRU),
 :mod:`~repro.serve.metrics` (counters/gauges/histograms),
 :mod:`~repro.serve.admission` (queues, shedding, rate limits),
 :mod:`~repro.serve.gateway` (the HTTP front end, one route table),
 :mod:`~repro.serve.rollout` (shadow/canary promotion),
-:mod:`~repro.serve.server` (the inference service).
+:mod:`~repro.serve.server` (the inference service: encodes and
+evaluates each batch inline, in the batcher thread).
 """
 
 from repro.serve.admission import (
@@ -41,13 +40,6 @@ from repro.serve.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.serve.registry import ModelEntry, ModelRegistry
 from repro.serve.rollout import RolloutConfig, RolloutManager
 from repro.serve.server import InferenceService, document_from_payload
-from repro.serve.workers import (
-    CRASH_CATEGORY,
-    PoolClosed,
-    SequenceRef,
-    WorkerCrash,
-    WorkerPool,
-)
 
 __all__ = [
     "AdmissionController",
@@ -71,9 +63,4 @@ __all__ = [
     "RolloutManager",
     "InferenceService",
     "document_from_payload",
-    "CRASH_CATEGORY",
-    "PoolClosed",
-    "SequenceRef",
-    "WorkerCrash",
-    "WorkerPool",
 ]

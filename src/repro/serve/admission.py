@@ -14,7 +14,7 @@ gateway honest by deciding *at the door* whether a request may enter:
   with ``429`` + ``Retry-After``.
 
 Shedding is cheap by construction: a shed request allocates one small
-response and never touches the batcher, the cache or the worker pool,
+response and never touches the batcher, the cache or the evaluator,
 which is what bounds the gateway's memory under overload.
 
 All clocks are ``time.perf_counter`` (monotonic); nothing here reads

@@ -158,10 +158,14 @@ class MicroBatcher:
             deadline = first.enqueued_at + self.max_delay
             while len(batch) < self.max_batch_size:
                 remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
                 try:
-                    item = self._queue.get(timeout=remaining)
+                    if remaining > 0:
+                        item = self._queue.get(timeout=remaining)
+                    else:
+                        # Past the deadline: take what is already queued
+                        # without waiting, so a backlog dispatches in
+                        # full batches instead of one item at a time.
+                        item = self._queue.get_nowait()
                 except queue.Empty:
                     break
                 if item is None:

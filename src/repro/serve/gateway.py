@@ -13,7 +13,7 @@ rather than an OS thread and its stack:
 * admitted classify requests are submitted to the
   :class:`~repro.serve.batcher.MicroBatcher` and awaited with
   ``asyncio.wrap_future`` -- the event loop keeps accepting sockets
-  while worker processes evaluate the batch;
+  while the batcher thread encodes and evaluates the batch;
 * every route gets a latency histogram (``gateway_<route>_seconds``,
   p50/p99 in ``/metrics``).
 
@@ -51,7 +51,6 @@ from repro.errors import PersistenceError
 from repro.serve.admission import AdmissionController, Decision
 from repro.serve.batcher import BatcherClosed, BatcherSaturated
 from repro.serve.server import InferenceService
-from repro.serve.workers import PoolClosed, WorkerCrash
 
 #: Largest accepted request body; beyond it the request is refused with
 #: 413 before the body is read, bounding per-connection memory.
@@ -228,13 +227,12 @@ def _key(error: KeyError) -> str:
 #: ``BatcherSaturated`` is the batcher's own bound tripping underneath
 #: admission: same contract as an admission shed, retryable 503.  The
 #: other 503s are backend trouble, not caller error: the store is
-#: damaged, the service is shutting down, or a worker died mid-batch.
+#: damaged or the service is shutting down.
 ERRORS: Tuple[tuple, ...] = (
     (ValueError, 400, 0.0, str),
     (KeyError, 404, 0.0, _key),
     (BatcherSaturated, 503, 0.5, str),
-    ((PersistenceError, BatcherClosed, PoolClosed, WorkerCrash), 503, 0.0,
-     _typed),
+    ((PersistenceError, BatcherClosed), 503, 0.0, _typed),
     (Exception, 500, 0.0, _typed),
 )
 

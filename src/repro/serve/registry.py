@@ -5,7 +5,7 @@ loads saved pipeline directories, validates their manifests up front,
 keeps several named models live at once, and supports hot reload -- when
 the manifest on disk changes (a retrain overwrote the directory), the
 next ``maybe_reload`` swaps the new model in atomically and bumps the
-entry's version so downstream caches and worker pools know to rebuild.
+entry's version so downstream caches know to rebuild.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ class ModelEntry:
         directory: source directory (None for in-memory registrations).
         pipeline: the loaded, fitted pipeline.
         version: bumped on every (re)load; lets callers invalidate
-            derived state (caches, worker pools) cheaply.
+            derived state (such as cache keys) cheaply.
         manifest_mtime: mtime of ``manifest.json`` at load time.
     """
 

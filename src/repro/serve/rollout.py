@@ -219,7 +219,11 @@ class RolloutManager:
         self._evaluate = evaluate
         self._promote = promote
 
-        self._lock = threading.Lock()
+        # Reentrant: transitions announce themselves (gauge, event,
+        # promotion) while holding it, so a reader that sees a new state
+        # also sees its announcement -- and an event sink may call
+        # report() from the announcing thread.
+        self._lock = threading.RLock()
         self._state = SHADOW  # guarded by _lock
         self._reason = ""  # guarded by _lock
         self._stats = {SHADOW: _PhaseStats(), CANARY: _PhaseStats()}  # guarded by _lock
@@ -346,13 +350,7 @@ class RolloutManager:
 
     def abort(self, reason: str = "aborted by operator") -> None:
         """Terminate without judgement; the incumbent keeps serving."""
-        with self._lock:
-            if self._state in _TERMINAL:
-                return
-            self._state = ABORTED
-            self._reason = reason
-        self._state_gauge.set(_STATE_CODES[ABORTED])
-        self._emit("rollout_finished", state=ABORTED, reason=reason)
+        self._terminate(ABORTED, reason)
 
     def close(self) -> None:
         """Stop the mirror thread (idempotent; terminal state wakes it)."""
@@ -447,7 +445,6 @@ class RolloutManager:
         return None
 
     def _maybe_advance(self, phase: str) -> None:
-        promote = False
         with self._lock:
             if self._state != phase:
                 return
@@ -455,40 +452,29 @@ class RolloutManager:
             if stats.samples < self.config.min_samples:
                 return
             failure = self._gates(stats)
+            payload = stats.payload()
             if failure is not None:
-                self._state = ROLLED_BACK
-                self._reason = f"{phase}: {failure}"
+                self._terminate(ROLLED_BACK, f"{phase}: {failure}",
+                                **payload)
             elif phase == SHADOW:
                 self._state = CANARY
-                self._reason = ""
+                self._state_gauge.set(_STATE_CODES[CANARY])
+                self._emit("rollout_phase", state=CANARY,
+                           from_state=SHADOW, **payload)
             else:
-                self._state = PROMOTED
-                self._reason = ""
-                promote = True
-            new_state = self._state
-            payload = stats.payload()
-        self._state_gauge.set(_STATE_CODES[new_state])
-        if new_state == CANARY:
-            self._emit("rollout_phase", state=CANARY, from_state=SHADOW,
-                       **payload)
-            return
-        if promote:
-            self._promote()
-        self._emit("rollout_finished", state=new_state,
-                   reason=self._reason_snapshot(), **payload)
+                self._promote()
+                self._terminate(PROMOTED, "", **payload)
 
-    def _terminate(self, state: str, reason: str) -> None:
+    def _terminate(self, state: str, reason: str, **payload) -> None:
+        """Enter a terminal state and announce it, under the lock."""
         with self._lock:
             if self._state in _TERMINAL:
                 return
             self._state = state
             self._reason = reason
-        self._state_gauge.set(_STATE_CODES[state])
-        self._emit("rollout_finished", state=state, reason=reason)
-
-    def _reason_snapshot(self) -> str:
-        with self._lock:
-            return self._reason
+            self._state_gauge.set(_STATE_CODES[state])
+            self._emit("rollout_finished", state=state, reason=reason,
+                       **payload)
 
     def _emit(self, kind: str, **payload) -> None:
         if self.events is None:

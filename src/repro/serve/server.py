@@ -7,8 +7,10 @@
   across documents);
 * encoded word sequences are memoised in the
   :class:`~repro.serve.cache.LruCache` keyed on token fingerprints;
-* per-category evaluation fans across the
-  :class:`~repro.serve.workers.WorkerPool`;
+* each category's classifier scores the whole batch inline, in the
+  batcher thread (a champion is a short register program: scoring a
+  document costs micro- to milliseconds, less than handing it to
+  another process would);
 * everything is observable through one
   :class:`~repro.serve.metrics.MetricsRegistry`.
 
@@ -34,7 +36,6 @@ from repro.gp.engine import shared_metrics
 from repro.serve.metrics import MetricsRegistry, render_snapshot
 from repro.serve.registry import ModelRegistry
 from repro.serve.rollout import RolloutConfig, RolloutManager
-from repro.serve.workers import SequenceRef, WorkerPool
 
 
 def document_from_payload(payload: dict, fallback_id: int = 0) -> Document:
@@ -63,12 +64,10 @@ def document_from_payload(payload: dict, fallback_id: int = 0) -> Document:
 
 
 class InferenceService:
-    """Batched, parallel, observable inference over registered models.
+    """Batched, observable inference over registered models.
 
     Args:
         registry: the models to serve.
-        n_workers: worker processes for per-category evaluation
-            (0 = evaluate inline).
         max_batch_size / max_delay: micro-batching knobs.
         cache_size: encoded-sequence LRU capacity (0 disables).
         metrics: optional shared registry (one is created otherwise).
@@ -89,7 +88,6 @@ class InferenceService:
     def __init__(
         self,
         registry: ModelRegistry,
-        n_workers: int = 1,
         max_batch_size: int = 16,
         max_delay: float = 0.02,
         cache_size: int = 4096,
@@ -100,7 +98,6 @@ class InferenceService:
         events: Optional[EventBus] = None,
     ) -> None:
         self.registry = registry
-        self.n_workers = n_workers
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cache = LruCache(cache_size)
         self.data_store = data_store
@@ -127,6 +124,9 @@ class InferenceService:
         self._encode_latency = self.metrics.histogram(
             "service_encode_seconds", "batch encoding latency"
         )
+        self._evaluate_latency = self.metrics.histogram(
+            "service_evaluate_seconds", "batch evaluation latency"
+        )
         self._reloads = self.metrics.counter(
             "service_model_reloads_total", "hot reloads applied"
         )
@@ -142,8 +142,6 @@ class InferenceService:
             "miss sequences dropped because the store write failed",
         )
 
-        self._pools: Dict[str, Tuple[int, WorkerPool]] = {}  # guarded by _pools_lock
-        self._pools_lock = threading.Lock()
         #: store address -> {"meta": ingest metadata, "items": spooled
         #: sequences}.  The address is computed when a miss is spooled
         #: (it fingerprints the encoder that produced the sequence), so
@@ -287,16 +285,10 @@ class InferenceService:
                 # Transient read failure (EMFILE, permissions, ...):
                 # skip warming but keep the accumulated history.
                 continue
-            # Warm with provenance: the sequence is row N of a sealed
-            # store dataset, so the worker pool can ship (address, row)
-            # instead of the array -- zero-copy all the way across.
             warmed += self.cache.warm(
-                (
-                    sequence_key(model_key, category, fingerprint),
-                    SequenceRef(sequence, address=stored.key, row=row),
-                )
-                for row, (fingerprint, sequence) in enumerate(
-                    zip(stored.fingerprints, stored.sequences)
+                (sequence_key(model_key, category, fingerprint), sequence)
+                for fingerprint, sequence in zip(
+                    stored.fingerprints, stored.sequences
                 )
                 if fingerprint
             )
@@ -440,17 +432,8 @@ class InferenceService:
 
     def health(self) -> dict:
         """Liveness view; ``status`` degrades (load-balancer drain cue)
-        when any model's worker pool is below its target size or the
-        gateway's admission queues are saturated."""
+        when the gateway's admission queues are saturated."""
         degraded: List[str] = []
-        with self._pools_lock:
-            pools = list(self._pools.items())
-        for name, (_, pool) in pools:
-            alive = pool.n_alive
-            if pool.n_workers and alive < pool.n_workers:
-                degraded.append(
-                    f"pool {name!r} at {alive}/{pool.n_workers} workers"
-                )
         if self.admission is not None and self.admission.saturated:
             degraded.append("admission queue saturated")
         return {
@@ -459,7 +442,6 @@ class InferenceService:
             "uptime_seconds": time.time() - self.started_at,
             "models": self.registry.names,
             "default_model": self.registry.default_name,
-            "n_workers": self.n_workers,
             "queue_depth": self.batcher.queue_depth,
         }
 
@@ -488,17 +470,12 @@ class InferenceService:
             rollout.close()
         self.flush_misses()
         self.batcher.close()
-        with self._pools_lock:
-            pools = [pool for _, pool in self._pools.values()]
-            self._pools.clear()
-        for pool in pools:
-            pool.shutdown()
 
     # ------------------------------------------------------------------
     # batch path
     # ------------------------------------------------------------------
     def _handle_batch(self, items: List[Tuple[str, Document]]) -> List[dict]:
-        """One micro-batch: group by model, encode, fan out, assemble."""
+        """One micro-batch: group by model, encode, evaluate, assemble."""
         by_model: Dict[str, List[int]] = {}
         for index, (model_name, _) in enumerate(items):
             by_model.setdefault(model_name, []).append(index)
@@ -523,8 +500,13 @@ class InferenceService:
             sequences_by_category, token_counts = self._encode_batch(
                 entry, documents
             )
-        pool = self._pool_for(entry)
-        values_by_category = pool.evaluate_many(sequences_by_category)
+        with self._evaluate_latency.time():
+            values_by_category = {
+                category: pipeline.suite.classifiers[category].decision_values(
+                    sequences_by_category[category]
+                )
+                for category in categories
+            }
         monitor = self.drift_monitor(model_name)
         results = []
         for position, doc in enumerate(documents):
@@ -662,40 +644,6 @@ class InferenceService:
             with self._spool_lock:
                 self._miss_addresses[cache_key] = address
         return address
-
-    def _pool_for(self, entry) -> WorkerPool:
-        """The worker pool for a model entry, rebuilt when it reloads.
-
-        Built outside ``_pools_lock``: WorkerPool() forks workers, and a
-        fork while any thread holds a lock copies the held mutex into
-        the child (REPRO-C002).  Double-checked instead -- a concurrent
-        builder may race us, and the loser's pool is shut down.
-        """
-        with self._pools_lock:
-            current = self._pools.get(entry.name)
-            if current is not None and current[0] == entry.version:
-                return current[1]
-        pool = WorkerPool(
-            entry.pipeline.suite.classifiers,
-            n_workers=self.n_workers,
-            metrics=self.metrics,
-            store_root=(
-                self.data_store.root
-                if self.data_store is not None
-                else None
-            ),
-        )
-        with self._pools_lock:
-            current = self._pools.get(entry.name)
-            if current is not None and current[0] == entry.version:
-                loser, winner = pool, current[1]
-            else:
-                stale = current[1] if current is not None else None
-                self._pools[entry.name] = (entry.version, pool)
-                loser, winner = stale, pool
-        if loser is not None:
-            loser.shutdown()
-        return winner
 
     def _export_cache_stats(self) -> None:
         stats = self.cache.stats()

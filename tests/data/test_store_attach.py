@@ -1,4 +1,4 @@
-"""Module-level store read path: open_sealed and the memoized attach."""
+"""Module-level store read path: dataset_path and open_sealed."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data import DatasetStore
-from repro.data.store import attach_dataset, dataset_path, open_sealed
+from repro.data.store import dataset_path, open_sealed
 from repro.errors import PersistenceError
 from repro.serve.metrics import MetricsRegistry
 
@@ -16,10 +16,10 @@ def store(tmp_path):
     return DatasetStore(tmp_path / "store", metrics=MetricsRegistry())
 
 
-def _items(n, offset=0):
-    rng = np.random.default_rng(11 + offset)
+def _items(n):
+    rng = np.random.default_rng(11)
     return [
-        (offset + index, 1, rng.random((4 + index, 2)), f"fp-{offset + index}")
+        (index, 1, rng.random((4 + index, 2)), f"fp-{index}")
         for index in range(n)
     ]
 
@@ -44,30 +44,3 @@ def test_open_sealed_matches_store_open(store):
 def test_open_sealed_refuses_missing_dataset(store):
     with pytest.raises(PersistenceError, match="no sealed dataset"):
         open_sealed(store.root, "beef1absent")
-
-
-def test_attach_is_memoized_per_root_and_key(store):
-    key = "beef2cached"
-    store.ingest(key, _items(2))
-    first = attach_dataset(store.root, key)
-    second = attach_dataset(store.root, key)
-    assert first is second
-
-
-def test_refresh_picks_up_incremental_ingest(store):
-    """Row indices are stable across extension (adopted shards keep
-    their order), so a stale attach only needs refreshing when a row
-    index outruns it."""
-    key = "beef3growing"
-    store.ingest(key, _items(2))
-    stale = attach_dataset(store.root, key)
-    assert len(stale) == 2
-    store.ingest(key, _items(2, offset=2))
-    assert attach_dataset(store.root, key) is stale  # memo still serves
-    fresh = attach_dataset(store.root, key, refresh=True)
-    assert len(fresh) == 4
-    for row in range(2):  # old rows kept their indices
-        np.testing.assert_array_equal(
-            fresh.sequences[row], stale.sequences[row]
-        )
-    assert attach_dataset(store.root, key) is fresh  # cache replaced

@@ -69,6 +69,34 @@ def test_max_batch_size_is_respected():
         batcher.close()
 
 
+def test_backlog_past_its_deadline_dispatches_as_one_batch():
+    """Items queued behind a slow batch are already past their deadline
+    when the drain loop reaches them; they still share one batch instead
+    of dispatching one at a time."""
+    seen = []
+    entered = threading.Event()
+    release = threading.Event()
+
+    def handler(batch):
+        entered.set()
+        release.wait(5)         # hold the first batch while a backlog forms
+        seen.append(len(batch))
+        return list(batch)
+
+    batcher = MicroBatcher(handler, max_batch_size=16, max_delay=0.01)
+    try:
+        first = batcher.submit("first")
+        assert entered.wait(5)
+        backlog = batcher.submit_many(list(range(8)))
+        time.sleep(0.05)        # every queued item is now past its deadline
+        release.set()
+        first.result(timeout=5)
+        assert [future.result(timeout=5) for future in backlog] == list(range(8))
+        assert seen == [1, 8]
+    finally:
+        batcher.close()
+
+
 def test_deadline_bounds_single_item_latency():
     batcher = MicroBatcher(_echo, max_batch_size=64, max_delay=0.05)
     try:

@@ -32,8 +32,8 @@ BANNER = re.compile(
 
 
 def _start_serve(model_dir, data_dir, *extra, **popen_kwargs):
-    """Launch ``repro.cli serve`` on an ephemeral port with one worker;
-    returns ``(process, base_url)`` once the startup line is printed."""
+    """Launch ``repro.cli serve`` on an ephemeral port; returns
+    ``(process, base_url)`` once the startup line is printed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get(
         "PYTHONPATH", ""
@@ -44,7 +44,6 @@ def _start_serve(model_dir, data_dir, *extra, **popen_kwargs):
             "--model", str(model_dir),
             "--data", str(data_dir),
             "--port", "0",
-            "--workers", "1",
             "--max-delay-ms", "5",
             *extra,
         ],
@@ -141,15 +140,15 @@ def test_async_flag_is_accepted_and_ignored(model_dir, data_dir):
 
 
 def test_sigterm_shuts_down_cleanly(model_dir, data_dir, serve_corpus):
-    """SIGTERM takes the Ctrl-C path: the gateway and the worker pool
-    close, the process exits 0 and leaves nothing in its session."""
+    """SIGTERM takes the Ctrl-C path: the gateway and the service close,
+    the process exits 0 and leaves nothing in its session."""
     process, base_url = _start_serve(
         model_dir, data_dir, start_new_session=True
     )
     sid = process.pid
     try:
         _classify(base_url, list(serve_corpus.test_documents)[:1])
-        assert len(_session_pids(sid)) >= 2  # the pool has forked
+        assert _session_pids(sid) == [sid]  # evaluation runs inline
         process.send_signal(signal.SIGTERM)
         assert process.wait(timeout=60) == 0
         deadline = time.time() + 10

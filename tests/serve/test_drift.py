@@ -14,7 +14,6 @@ def drift_service(serve_corpus, model_dir):
     registry.register("default", model_dir)
     service = InferenceService(
         registry,
-        n_workers=1,
         max_batch_size=8,
         max_delay=0.005,
         drift_detect=True,
@@ -32,7 +31,7 @@ def drift_http(drift_service):
 def test_drift_detection_is_off_by_default(serve_corpus, model_dir):
     registry = ModelRegistry(serve_corpus)
     registry.register("default", model_dir)
-    service = InferenceService(registry, n_workers=1)
+    service = InferenceService(registry)
     try:
         assert service.drift_monitor() is None
         assert service.drift_report() == {"model": "default", "enabled": False}

@@ -21,7 +21,6 @@ from repro.errors import PersistenceError
 from repro.serve.batcher import BatcherClosed, BatcherSaturated
 from repro.serve.gateway import ROUTES
 from repro.serve.metrics import MetricsRegistry
-from repro.serve.workers import PoolClosed, WorkerCrash
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +33,7 @@ def registry(serve_corpus, model_dir):
 @pytest.fixture(scope="module")
 def service(registry):
     service = InferenceService(
-        registry, n_workers=0, max_batch_size=8, max_delay=0.002,
+        registry, max_batch_size=8, max_delay=0.002,
         metrics=MetricsRegistry(),
     )
     yield service
@@ -210,8 +209,6 @@ def test_unlisted_method_is_405_under_the_route_name(path):
     (BatcherSaturated("queue full"), 503),
     (PersistenceError("corrupt shard"), 503),
     (BatcherClosed("closing"), 503),
-    (PoolClosed("pool shut down"), 503),
-    (WorkerCrash("worker died"), 503),
     (RuntimeError("boom"), 500),
 ], ids=lambda value: type(value).__name__ if isinstance(value, Exception)
    else str(value))
@@ -247,7 +244,7 @@ def test_oversized_body_is_refused_before_reading(service):
 # ----------------------------------------------------------------------
 def test_rate_limited_requests_get_429_with_retry_after(registry):
     service = InferenceService(
-        registry, n_workers=0, max_batch_size=8, max_delay=0.001,
+        registry, max_batch_size=8, max_delay=0.001,
         metrics=MetricsRegistry(),
     )
     admission = AdmissionController(
@@ -277,7 +274,7 @@ def test_200_concurrent_connections_all_get_an_answer(registry):
     dropped, and shed requests never reach the batcher."""
     n_clients = 200
     service = InferenceService(
-        registry, n_workers=0, max_batch_size=8, max_delay=0.05,
+        registry, max_batch_size=8, max_delay=0.05,
         metrics=MetricsRegistry(),
     )
     admission = AdmissionController(
@@ -326,7 +323,7 @@ def test_shedding_keeps_the_batcher_bounded(registry):
     matter how many clients pile on."""
     max_inflight = 2
     service = InferenceService(
-        registry, n_workers=0, max_batch_size=4, max_delay=0.02,
+        registry, max_batch_size=4, max_delay=0.02,
         metrics=MetricsRegistry(),
     )
     admission = AdmissionController(
@@ -430,7 +427,7 @@ def test_pipelining_beyond_cap_sheds_503_and_closes(service):
 # ----------------------------------------------------------------------
 def test_healthz_degrades_when_admission_saturates(registry):
     service = InferenceService(
-        registry, n_workers=0, max_batch_size=8, max_delay=0.001,
+        registry, max_batch_size=8, max_delay=0.001,
         metrics=MetricsRegistry(),
     )
     admission = AdmissionController(
@@ -450,30 +447,5 @@ def test_healthz_degrades_when_admission_saturates(registry):
             status, body, _ = _request(gateway, "GET", "/healthz")
             assert status == 200
             assert json.loads(body)["status"] == "ok"
-    finally:
-        service.close()
-
-
-def test_healthz_degrades_when_worker_pool_is_short(registry):
-    class _ShortPool:
-        n_workers = 2
-        n_alive = 1
-
-        def shutdown(self):
-            pass
-
-    service = InferenceService(
-        registry, n_workers=0, max_batch_size=8, max_delay=0.001,
-        metrics=MetricsRegistry(),
-    )
-    try:
-        with service._pools_lock:
-            service._pools["short"] = (1, _ShortPool())
-        health = service.health()
-        assert health["status"] == "degraded"
-        assert health["degraded_reasons"] == ["pool 'short' at 1/2 workers"]
-        with service._pools_lock:
-            service._pools.pop("short")
-        assert service.health()["status"] == "ok"
     finally:
         service.close()

@@ -124,6 +124,38 @@ def test_divergent_decision_values_roll_back_in_shadow():
         manager.close()
 
 
+def test_shadow_verdict_is_announced_before_it_is_visible():
+    # The shadow verdict is reached on the mirror thread.  A slow event
+    # sink holds that announcement open; a reader polling from another
+    # thread must never see the terminal state without its event and
+    # gauge value.
+    events = []
+    announcing = threading.Event()
+
+    def slow_sink(event):
+        if event.kind == "rollout_finished":
+            announcing.set()
+            time.sleep(0.2)
+        events.append(event)
+
+    metrics = MetricsRegistry()
+    manager = _manager(
+        lambda model, docs: [_result(d, ["grain"], 0.5) for d in docs],
+        config=RolloutConfig(min_samples=1),
+        events=EventBus([slow_sink]),
+        metrics=metrics,
+    )
+    try:
+        manager.intercept([1], [_result(1, ["earn"], 0.5)], 0.01)
+        assert announcing.wait(timeout=30.0)
+        assert manager.finished
+        assert [e.kind for e in events][-1] == "rollout_finished"
+        assert events[-1].payload["state"] == "rolled_back"
+        assert metrics.snapshot()["rollout_state"] == -1.0
+    finally:
+        manager.close()
+
+
 def test_slow_candidate_fails_the_latency_gate():
     def slow_evaluate(model, docs):
         time.sleep(0.05)
@@ -213,7 +245,7 @@ def rollout_service(serve_corpus, model_dir):
     registry.register("retrained", model_dir)
     events = []
     service = InferenceService(
-        registry, n_workers=0, max_batch_size=8, max_delay=0.001,
+        registry, max_batch_size=8, max_delay=0.001,
         metrics=MetricsRegistry(), events=EventBus([events.append]),
     )
     yield service, events

@@ -1,7 +1,6 @@
 """End-to-end serving: parity with the pipeline, HTTP round trip, metrics."""
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
@@ -16,7 +15,7 @@ def service(serve_corpus, model_dir):
     registry = ModelRegistry(serve_corpus)
     registry.register("default", model_dir)
     service = InferenceService(
-        registry, n_workers=1, max_batch_size=8, max_delay=0.005
+        registry, max_batch_size=8, max_delay=0.005
     )
     yield service
     service.close()
@@ -85,7 +84,7 @@ def test_latency_histograms_are_populated(service, serve_corpus):
     snapshot = service.snapshot()
     assert snapshot["service_request_seconds"]["count"] > 0
     assert snapshot["service_request_seconds"]["p50"] > 0
-    assert snapshot["pool_eval_seconds"]["count"] > 0
+    assert snapshot["service_evaluate_seconds"]["count"] > 0
     assert snapshot["batcher_batch_size"]["count"] > 0
 
 
@@ -175,7 +174,7 @@ def test_http_metrics_exposition(http_server, service, serve_corpus):
     assert status == 200
     assert "service_request_seconds_p50" in body
     assert "cache_hit_rate" in body
-    assert "pool_workers_alive" in body
+    assert "service_evaluate_seconds_p50" in body
 
 
 def test_http_bad_request_is_400(http_server):
@@ -218,9 +217,7 @@ def test_hot_reload_via_http(http_server, service, model_dir, fitted_pipeline):
 
 def test_engine_counters_visible_on_metrics(http_server, service, serve_corpus):
     """Classification runs through the fused GP engine; its shared
-    counters must be folded into the service's /metrics exposition --
-    including evaluations performed inside forked pool workers, whose
-    per-job deltas travel back with the results."""
+    counters must be folded into the service's /metrics exposition."""
     from repro.corpus.document import Document
 
     before = service.snapshot().get("engine_programs_evaluated_total", 0)
@@ -247,46 +244,3 @@ def test_engine_counters_visible_on_metrics(http_server, service, serve_corpus):
     assert "engine_programs_evaluated_total" in body
     assert "engine_batches_total" in body
     assert "engine_folded_instructions_total" in body
-
-
-# ----------------------------------------------------------------------
-# pool construction: fork-outside-lock regression
-# ----------------------------------------------------------------------
-def test_concurrent_pool_for_yields_one_pool(serve_corpus, model_dir):
-    """_pool_for builds the WorkerPool outside _pools_lock (a fork while
-    a lock is held copies the held mutex into every worker).  The
-    double-checked rebuild must still converge: racing callers all get
-    the same pool, the losers' pools are shut down, and the registry
-    holds exactly the winner."""
-    registry = ModelRegistry(serve_corpus)
-    registry.register("default", model_dir)
-    service = InferenceService(
-        registry, n_workers=0, max_batch_size=8, max_delay=0.005
-    )
-    try:
-        entry = service.registry.get()
-        start = threading.Barrier(8)
-        pools = []
-        pools_lock = threading.Lock()
-
-        def build():
-            start.wait()
-            pool = service._pool_for(entry)
-            with pools_lock:
-                pools.append(pool)
-
-        threads = [threading.Thread(target=build) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        assert len(pools) == 8
-        assert len({id(pool) for pool in pools}) == 1
-        stored_version, stored_pool = service._pools[entry.name]
-        assert stored_version == entry.version
-        assert stored_pool is pools[0]
-        # repeat calls keep returning the cached pool
-        assert service._pool_for(entry) is stored_pool
-    finally:
-        service.close()

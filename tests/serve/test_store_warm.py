@@ -20,7 +20,6 @@ def registry(serve_corpus, model_dir):
 def _service(registry, store):
     return InferenceService(
         registry,
-        n_workers=0,
         max_batch_size=8,
         max_delay=0.001,
         metrics=MetricsRegistry(),
@@ -167,7 +166,7 @@ def test_transient_warm_failure_keeps_stored_history(
 
 def test_service_without_store_is_unchanged(registry, serve_corpus):
     service = InferenceService(
-        registry, n_workers=0, max_batch_size=8, max_delay=0.001,
+        registry, max_batch_size=8, max_delay=0.001,
         metrics=MetricsRegistry(),
     )
     try:
